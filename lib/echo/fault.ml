@@ -44,6 +44,23 @@ let guard f =
   | exception Sys.Break -> raise Sys.Break
   | exception e -> Error (of_exn e)
 
+(* The Examiner's refusal: error-severity diagnostics stop the job before
+   any proof is attempted, reported with the first error. *)
+let check_examiner an =
+  let errors = Analysis.Examiner.errors an in
+  if errors > 0 then begin
+    let first =
+      match
+        List.find_opt
+          (fun d -> d.Analysis.Diag.d_severity = Analysis.Diag.Error)
+          (Analysis.Examiner.diags an)
+      with
+      | Some d -> Fmt.str "%a" Analysis.Diag.pp d
+      | None -> ""
+    in
+    raise (Fault (Analysis { errors; first }))
+  end
+
 let class_name = function
   | Parse _ -> "parse"
   | Type _ -> "type"

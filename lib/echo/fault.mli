@@ -55,6 +55,12 @@ val guard : (unit -> 'a) -> ('a, t) result
     [Stack_overflow] and [Out_of_memory] are treated as [Crash] (the
     orchestrator survives runaway searches); [Sys.Break] is re-raised. *)
 
+val check_examiner : Analysis.Examiner.t -> unit
+(** The flow-analysis gate of every proof spine: raises
+    [Fault (Analysis {errors; first})] when the Examiner reported
+    error-severity diagnostics, [first] being the first of them printed;
+    returns otherwise. *)
+
 val class_name : t -> string
 (** Short stable identifier: ["parse"], ["type"], ["refactor"], ... *)
 

@@ -479,6 +479,66 @@ let run_resilient ?(policy = Retry.default_policy standard_hints) ?filter_vcs ?t
   run_with ~policy ?filter_vcs ?tune_cfg ?give_up ?discharge ?carry ?budget
     ?max_steps ?jobs ?cache env program
 
+(* Change-impact carry planning, shared by the orchestrator's impact
+   stage and the service's per-job baselines: the static plan, escalated
+   by VC-digest drift under the budget the proof will use, and a carry
+   table of baseline verdicts for the carried subprograms keyed strictly
+   by owner + name + formula digest.  Timeouts are wall-clock accidents
+   and are never carried. *)
+
+type baseline_vc = {
+  bv_sub : string;
+  bv_name : string;
+  bv_digest : string;
+  bv_status : vc_status option;
+  bv_attempts : int;
+}
+
+type carry_plan = {
+  cp_plan : Analysis.Impact.plan;
+  cp_carried_vcs : int;
+  cp_carry : F.vc -> vc_result option;
+}
+
+let plan_carry ~budget ~old_p env new_p baseline =
+  let plan = Analysis.Impact.compute ~old_p ~new_p in
+  let module M = Map.Make (String) in
+  let by_sub =
+    List.fold_left
+      (fun m b ->
+        M.update b.bv_sub
+          (function None -> Some [ b ] | Some bs -> Some (b :: bs))
+          m)
+      M.empty baseline
+  in
+  let current = Vcgen.vc_digests (Vcgen.generate ~budget env new_p) in
+  let baseline_digests =
+    M.bindings by_sub
+    |> List.map (fun (s, bs) -> (s, List.map (fun b -> b.bv_digest) bs))
+  in
+  let plan = Analysis.Impact.refine plan ~baseline:baseline_digests ~current in
+  let key sub name digest = sub ^ "|" ^ name ^ "|" ^ digest in
+  let carry_tbl = Hashtbl.create 256 in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun b ->
+          match b.bv_status with
+          | None | Some (Timed_out _) -> ()
+          | Some status ->
+              Hashtbl.replace carry_tbl
+                (key b.bv_sub b.bv_name b.bv_digest)
+                (status, b.bv_attempts))
+        (Option.value ~default:[] (M.find_opt s by_sub)))
+    plan.Analysis.Impact.pl_carried;
+  let carry (vc : F.vc) =
+    Hashtbl.find_opt carry_tbl (key vc.F.vc_sub vc.F.vc_name (F.vc_digest vc))
+    |> Option.map (fun (status, attempts) ->
+           { vr_vc = vc; vr_status = status; vr_attempts = attempts;
+             vr_time = 0.0; vr_cached = true })
+  in
+  { cp_plan = plan; cp_carried_vcs = Hashtbl.length carry_tbl; cp_carry = carry }
+
 let pp_report ppf r =
   Fmt.pf ppf
     "@[<v>implementation proof: %d VCs, %d auto (%.1f%%), %d interactive, %d residual%a%a@,\

@@ -113,5 +113,36 @@ val run_resilient :
     never sees them.  The caller is responsible for never carrying
     timeouts. *)
 
+(** One baseline verdict offered for carrying: owner, VC name, formula
+    digest ({!Logic.Formula.vc_digest}), status ([None] when the baseline
+    recorded one that cannot be read back) and ladder attempts. *)
+type baseline_vc = {
+  bv_sub : string;
+  bv_name : string;
+  bv_digest : string;
+  bv_status : vc_status option;
+  bv_attempts : int;
+}
+
+type carry_plan = {
+  cp_plan : Analysis.Impact.plan;
+      (** {!Analysis.Impact.compute}, escalated by VC-digest drift *)
+  cp_carried_vcs : int;  (** baseline verdicts in the carry table *)
+  cp_carry : Logic.Formula.vc -> vc_result option;
+      (** the [carry] hook for {!run_resilient} *)
+}
+
+val plan_carry :
+  budget:Vcgen.budget -> old_p:Ast.program ->
+  Typecheck.env -> Ast.program -> baseline_vc list -> carry_plan
+(** Change-impact planning for an incremental proof of the new program
+    ([env], [new_p]) against a baseline version [old_p] and its per-VC
+    verdicts.  The static plan ({!Analysis.Impact.compute}) is refined
+    against the VC digests regenerated under [budget] (the proof's own),
+    so any carried subprogram whose obligations drifted is re-proved.
+    Baseline verdicts of the carried subprograms are replayed for VCs with
+    the same owner, name and digest; timeouts and unreadable statuses are
+    never carried. *)
+
 val pp_report : report Fmt.t
 val pp_details : report Fmt.t

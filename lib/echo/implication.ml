@@ -124,8 +124,6 @@ let structural ~name ~original ~extracted ~premises ~check () =
 (* runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let empty = { im_lemmas = []; im_total = 0; im_proved = 0; im_time = 0.0 }
-
 (* A lemma body that *raises* (rather than returning [Fails]) must not
    abort the whole suite: the remaining lemmas still carry information.
    The exception is folded into a [Fails] outcome. *)

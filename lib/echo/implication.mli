@@ -46,9 +46,6 @@ type result = {
   im_time : float;
 }
 
-val empty : result
-(** Degenerate result for pipeline stages that never ran. *)
-
 val run : lemma list -> result
 (** Evaluate every lemma.  A lemma body that raises is recorded as
     [Fails] — one blown lemma never aborts the suite. *)

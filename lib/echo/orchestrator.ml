@@ -452,27 +452,14 @@ let stage_analyze st env annotated =
         Telemetry.count
           ~by:(List.length (Analysis.Examiner.diags an))
           "an_diagnostics";
-      let errs = Analysis.Examiner.errors an in
-      if errs > 0 then begin
-        let first =
-          match
-            List.filter
-              (fun d -> d.Analysis.Diag.d_severity = Analysis.Diag.Error)
-              (Analysis.Examiner.diags an)
-          with
-          | d :: _ -> Fmt.str "%a" Analysis.Diag.pp d
-          | [] -> ""
-        in
-        raise (Fault.Fault (Fault.Analysis { errors = errs; first }))
-      end;
+      Fault.check_examiner an;
       save_checkpoint st CK.S_analyze (CK.P_analyze an);
       an)
 
-(* Change-impact planning (incremental runs only): diff the edited
-   annotated program against the baseline's, compose with the dependency
-   graph and a VC-digest drift check, and hand the implementation proof a
-   carry function that replays baseline verdicts for every VC whose
-   subprogram the plan certifies untouched.  Any missing or unreadable
+(* Change-impact planning (incremental runs only): plan against the
+   baseline's annotated program and proof checkpoint
+   ({!Implementation_proof.plan_carry}), audit the plan, and hand the
+   implementation proof the carry function.  Any missing or unreadable
    baseline piece degrades to a full re-prove with a note — never a
    fault. *)
 let stage_impact st env annotated =
@@ -487,57 +474,24 @@ let stage_impact st env annotated =
           note st "impact: baseline proof checkpoint missing; full re-prove";
           None
       | Some base_src, Some base_impl ->
-          let old_p = reparse_program base_src in
-          let plan = Analysis.Impact.compute ~old_p ~new_p:annotated in
-          (* VC-digest refinement: regenerate under the same budget the
-             proof stage uses and escalate any carried subprogram whose
-             obligations drifted from the baseline's *)
-          let current =
-            Vcgen.vc_digests (Vcgen.generate ~budget:st.cfg.oc_budget env annotated)
+          let baseline =
+            List.map
+              (fun (vr : Implementation_proof.vc_result) ->
+                let vc = vr.Implementation_proof.vr_vc in
+                {
+                  Implementation_proof.bv_sub = vc.Logic.Formula.vc_sub;
+                  bv_name = vc.Logic.Formula.vc_name;
+                  bv_digest = Logic.Formula.vc_digest vc;
+                  bv_status = Some vr.Implementation_proof.vr_status;
+                  bv_attempts = vr.Implementation_proof.vr_attempts;
+                })
+              base_impl.Implementation_proof.ip_results
           in
-          let module M = Map.Make (String) in
-          let by_sub =
-            List.fold_left
-              (fun m (vr : Implementation_proof.vc_result) ->
-                let s = vr.Implementation_proof.vr_vc.Logic.Formula.vc_sub in
-                M.update s
-                  (function
-                    | None -> Some [ vr ] | Some vs -> Some (vr :: vs))
-                  m)
-              M.empty base_impl.Implementation_proof.ip_results
+          let cp =
+            Implementation_proof.plan_carry ~budget:st.cfg.oc_budget
+              ~old_p:(reparse_program base_src) env annotated baseline
           in
-          let baseline_digests =
-            M.bindings by_sub
-            |> List.map (fun (s, vrs) ->
-                   ( s,
-                     List.map
-                       (fun (vr : Implementation_proof.vc_result) ->
-                         Logic.Formula.vc_digest
-                           vr.Implementation_proof.vr_vc)
-                       vrs ))
-          in
-          let plan =
-            Analysis.Impact.refine plan ~baseline:baseline_digests ~current
-          in
-          (* the carry table: baseline verdicts for carried subprograms,
-             keyed strictly by owner + name + formula digest; timeouts are
-             wall-clock accidents and are never carried *)
-          let carry_tbl = Hashtbl.create 256 in
-          List.iter
-            (fun s ->
-              List.iter
-                (fun (vr : Implementation_proof.vc_result) ->
-                  match vr.Implementation_proof.vr_status with
-                  | Implementation_proof.Timed_out _ -> ()
-                  | _ ->
-                      let vc = vr.Implementation_proof.vr_vc in
-                      Hashtbl.replace carry_tbl
-                        (vc.Logic.Formula.vc_sub ^ "|"
-                       ^ vc.Logic.Formula.vc_name ^ "|"
-                        ^ Logic.Formula.vc_digest vc)
-                        vr)
-                (Option.value ~default:[] (M.find_opt s by_sub)))
-            plan.Analysis.Impact.pl_carried;
+          let plan = cp.Implementation_proof.cp_plan in
           let audit =
             {
               CK.im_changed =
@@ -548,7 +502,7 @@ let stage_impact st env annotated =
                     (n, List.map Analysis.Impact.reason_name rs))
                   plan.Analysis.Impact.pl_impacted;
               im_carried = plan.Analysis.Impact.pl_carried;
-              im_carried_vcs = Hashtbl.length carry_tbl;
+              im_carried_vcs = cp.Implementation_proof.cp_carried_vcs;
               im_json = Analysis.Impact.to_json plan;
             }
           in
@@ -557,12 +511,10 @@ let stage_impact st env annotated =
             (List.length audit.CK.im_impacted)
             (List.length audit.CK.im_carried)
             audit.CK.im_carried_vcs;
-          let carry (vc : Logic.Formula.vc) =
-            Hashtbl.find_opt carry_tbl
-              (vc.Logic.Formula.vc_sub ^ "|" ^ vc.Logic.Formula.vc_name ^ "|"
-             ^ Logic.Formula.vc_digest vc)
-          in
-          Some (audit, if st.cfg.oc_carry then Some carry else None))
+          Some
+            ( audit,
+              if st.cfg.oc_carry then Some cp.Implementation_proof.cp_carry
+              else None ))
 
 let stage_impl st ~discharge ?carry env annotated =
   stage st CK.S_impl

@@ -1,7 +1,7 @@
 (** Resilient orchestration of the Echo pipeline.
 
-    {!Pipeline.run} is the plain engine; this module drives the same five
-    stages — refactor, annotate, implementation proof, reverse synthesis,
+    This module drives the five stages of a {!Pipeline.case_study} —
+    refactor, annotate, implementation proof, reverse synthesis,
     implication proof — under an explicit resource-and-recovery policy:
 
     - every stage body runs under {!Fault.guard}, so no failure escapes as

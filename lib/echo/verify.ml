@@ -83,15 +83,15 @@ let status_string (st : Implementation_proof.vc_status) =
   | Implementation_proof.Timed_out _ -> "timed-out"
   | Implementation_proof.Discharged -> "discharged"
 
-(* Inverse of [status_string], minus timeouts: a timeout is a wall-clock
-   accident, not a property of the VC, so a baseline is never allowed to
-   replay one (mirrors the proof cache's refusal to store them). *)
-let status_of_summary (s : vc_summary) :
-    Implementation_proof.vc_status option =
+(* Inverse of [status_string]; a timeout's elapsed seconds are not on the
+   wire.  The carry planner never replays a timeout: it is a wall-clock
+   accident, not a property of the VC. *)
+let parse_status st : Implementation_proof.vc_status option =
   let open Implementation_proof in
-  match s.vs_status with
+  match st with
   | "auto" -> Some Auto
   | "discharged" -> Some Discharged
+  | "timed-out" -> Some (Timed_out 0.0)
   | st when String.length st > 7 && String.sub st 0 7 = "hinted:" -> (
       match int_of_string_opt (String.sub st 7 (String.length st - 7)) with
       | Some n when n >= 0 -> Some (Hinted n)
@@ -100,14 +100,7 @@ let status_of_summary (s : vc_summary) :
       Some (Residual (String.sub st 9 (String.length st - 9)))
   | _ -> None
 
-let status_of_string st =
-  match st with
-  | "auto" | "discharged" | "timed-out" -> Some st
-  | _ when status_of_summary
-             { vs_name = ""; vs_sub = ""; vs_digest = ""; vs_status = st;
-               vs_attempts = 0; vs_time = 0.0; vs_cached = false }
-           <> None -> Some st
-  | _ -> None
+let status_of_string st = Option.map (fun _ -> st) (parse_status st)
 
 type stage_hook = stage:string -> [ `Start | `Ok of float | `Failed of string ] -> unit
 
@@ -162,11 +155,11 @@ let failed fault ~notes ~seconds =
   }
 
 (* Change-impact planning against a baseline carried in the job itself:
-   the baseline source re-parses to [old_p], the per-VC summaries supply
-   the digest sets for [Impact.refine] and the carry table.  Any defect in
-   the baseline (unparseable source, unknown status strings) demotes to a
-   note and a full re-prove — a stale or mangled baseline must never fail
-   a job that would verify from cold. *)
+   the baseline source re-parses to the old program and the per-VC
+   summaries are the rows {!Implementation_proof.plan_carry} plans and
+   carries from.  Any defect in the baseline (unparseable source, unknown
+   status strings) demotes to a note and a re-prove — a stale or mangled
+   baseline must never fail a job that would verify from cold. *)
 let plan_carry ~note env annotated (b : baseline) =
   match Fault.guard (fun () -> snd (Typecheck.check (Parser.of_string b.vb_program))) with
   | Error fault ->
@@ -174,64 +167,42 @@ let plan_carry ~note env annotated (b : baseline) =
               (Fault.describe fault));
       None
   | Ok old_p ->
-      let plan = Analysis.Impact.compute ~old_p ~new_p:annotated in
-      let current = Vcgen.vc_digests (Vcgen.generate env annotated) in
-      let module M = Map.Make (String) in
-      let by_sub =
-        List.fold_left
-          (fun m (s : vc_summary) ->
-            M.update s.vs_sub
-              (function None -> Some [ s ] | Some ss -> Some (s :: ss))
-              m)
-          M.empty b.vb_results
+      let rows =
+        List.map
+          (fun (s : vc_summary) ->
+            {
+              Implementation_proof.bv_sub = s.vs_sub;
+              bv_name = s.vs_name;
+              bv_digest = s.vs_digest;
+              bv_status = parse_status s.vs_status;
+              bv_attempts = s.vs_attempts;
+            })
+          b.vb_results
       in
-      let baseline_digests =
-        M.bindings by_sub
-        |> List.map (fun (sub, ss) ->
-               (sub, List.map (fun (s : vc_summary) -> s.vs_digest) ss))
+      let cp =
+        Implementation_proof.plan_carry ~budget:Vcgen.default_budget ~old_p
+          env annotated rows
       in
-      let plan = Analysis.Impact.refine plan ~baseline:baseline_digests ~current in
-      let carry_tbl = Hashtbl.create 256 in
-      let dropped = ref 0 in
-      List.iter
-        (fun sub ->
-          List.iter
-            (fun (s : vc_summary) ->
-              match status_of_summary s with
-              | None -> if s.vs_status <> "timed-out" then incr dropped
-              | Some status ->
-                  Hashtbl.replace carry_tbl
-                    (s.vs_sub ^ "|" ^ s.vs_name ^ "|" ^ s.vs_digest)
-                    (status, s.vs_attempts, s.vs_time))
-            (Option.value ~default:[] (M.find_opt sub by_sub)))
-        plan.Analysis.Impact.pl_carried;
-      if !dropped > 0 then
+      let plan = cp.Implementation_proof.cp_plan in
+      let dropped =
+        List.length
+          (List.filter
+             (fun (r : Implementation_proof.baseline_vc) ->
+               r.Implementation_proof.bv_status = None
+               && List.mem r.Implementation_proof.bv_sub
+                    plan.Analysis.Impact.pl_carried)
+             rows)
+      in
+      if dropped > 0 then
         note (Printf.sprintf
                 "impact: %d baseline verdict(s) had unknown status; re-proving them"
-                !dropped);
+                dropped);
       note (Printf.sprintf
               "impact: %d subprogram(s) re-prove, %d carried (%d VC verdict(s))"
               (List.length plan.Analysis.Impact.pl_impacted)
               (List.length plan.Analysis.Impact.pl_carried)
-              (Hashtbl.length carry_tbl));
-      let carry (vc : Logic.Formula.vc) =
-        match
-          Hashtbl.find_opt carry_tbl
-            (vc.Logic.Formula.vc_sub ^ "|" ^ vc.Logic.Formula.vc_name ^ "|"
-           ^ Logic.Formula.vc_digest vc)
-        with
-        | None -> None
-        | Some (status, attempts, time) ->
-            Some
-              {
-                Implementation_proof.vr_vc = vc;
-                vr_status = status;
-                vr_attempts = attempts;
-                vr_time = time;
-                vr_cached = true;
-              }
-      in
-      Some (carry, List.length plan.Analysis.Impact.pl_impacted)
+              cp.Implementation_proof.cp_carried_vcs);
+      Some (cp.Implementation_proof.cp_carry, List.length plan.Analysis.Impact.pl_impacted)
 
 let run ?(options = default_options) ?on_stage ~source () : outcome =
   let t0 = Logic.Clock.now () in
@@ -251,21 +222,7 @@ let run ?(options = default_options) ?on_stage ~source () : outcome =
         if not options.vo_analyze then Ok ()
         else
           staged on_stage ~stage:"analyze" (fun () ->
-              let an = Analysis.Examiner.analyze env annotated in
-              let errs = Analysis.Examiner.errors an in
-              if errs > 0 then begin
-                let first =
-                  match
-                    List.filter
-                      (fun d ->
-                        d.Analysis.Diag.d_severity = Analysis.Diag.Error)
-                      (Analysis.Examiner.diags an)
-                  with
-                  | d :: _ -> Fmt.str "%a" Analysis.Diag.pp d
-                  | [] -> ""
-                in
-                raise (Fault.Fault (Fault.Analysis { errors = errs; first }))
-              end)
+              Fault.check_examiner (Analysis.Examiner.analyze env annotated))
       in
       match analysis with
       | Error fault -> finish_failed fault

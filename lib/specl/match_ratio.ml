@@ -101,5 +101,3 @@ let pp_result ppf r =
   match r.mr_unmatched with
   | [] -> ()
   | els -> Fmt.pf ppf "; unmatched: %a" Fmt.(list ~sep:(any ", ") pp_element) els
-
-let empty = { mr_total = 0; mr_matched = 0; mr_ratio = 0.0; mr_unmatched = [] }

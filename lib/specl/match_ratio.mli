@@ -32,7 +32,4 @@ val compare :
   ?synonyms:(string * string) list ->
   original:Sast.theory -> extracted:Sast.theory -> unit -> result
 
-val empty : result
-(** Degenerate result (0 elements) for pipeline stages that never ran. *)
-
 val pp_result : result Fmt.t

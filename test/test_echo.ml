@@ -138,11 +138,26 @@ let swapper_case ?annotate ?lemmas () : Echo.Pipeline.case_study =
     cs_lemmas = (match lemmas with Some f -> f | None -> fun ~extracted:_ -> []);
   }
 
+(* Orchestrator.run folds every stage fault into its verdict; it must
+   never raise *)
+let orchestrate case =
+  match Echo.Orchestrator.run case with
+  | r -> r
+  | exception e ->
+      Alcotest.failf "Orchestrator.run raised %s" (Printexc.to_string e)
+
+let expect_failed ~cls ~affix (r : Echo.Orchestrator.report) =
+  match r.Echo.Orchestrator.o_verdict with
+  | Echo.Orchestrator.Failed f ->
+      Alcotest.(check string) "fault class" cls (Echo.Fault.class_name f);
+      Alcotest.(check bool) ("mentions " ^ affix) true
+        (Astring.String.is_infix ~affix (Echo.Fault.describe f))
+  | v -> Alcotest.failf "expected Failed, got %a" Echo.Orchestrator.pp_verdict v
+
 let test_pipeline_clean_verified () =
-  let r = Echo.Pipeline.run (swapper_case ()) in
-  match r.Echo.Pipeline.p_verdict with
-  | Echo.Pipeline.Verified -> ()
-  | v -> Alcotest.failf "expected Verified, got %a" Echo.Pipeline.pp_verdict v
+  match (orchestrate (swapper_case ())).Echo.Orchestrator.o_verdict with
+  | Echo.Orchestrator.Verified -> ()
+  | v -> Alcotest.failf "expected Verified, got %a" Echo.Orchestrator.pp_verdict v
 
 let test_pipeline_ill_typed_annotation_fails () =
   (* the annotation step yields a program referencing an undeclared name:
@@ -162,13 +177,7 @@ program swapper is
 end swapper;|})
       ()
   in
-  match (Echo.Pipeline.run case).Echo.Pipeline.p_verdict with
-  | Echo.Pipeline.Failed msg ->
-      Alcotest.(check bool) "mentions the type error" true
-        (Astring.String.is_infix ~affix:"type error" msg)
-  | v -> Alcotest.failf "expected Failed, got %a" Echo.Pipeline.pp_verdict v
-  | exception e ->
-      Alcotest.failf "Pipeline.run raised %s" (Printexc.to_string e)
+  expect_failed ~cls:"type" ~affix:"type error" (orchestrate case)
 
 let test_pipeline_rejected_refactoring_fails () =
   let case = swapper_case () in
@@ -180,24 +189,20 @@ let test_pipeline_rejected_refactoring_fails () =
           raise (Refactor.Transform.Not_applicable "loop bound mismatch"));
     }
   in
-  match (Echo.Pipeline.run case).Echo.Pipeline.p_verdict with
-  | Echo.Pipeline.Failed msg ->
-      Alcotest.(check bool) "mentions applicability" true
-        (Astring.String.is_infix ~affix:"not applicable" msg)
-  | v -> Alcotest.failf "expected Failed, got %a" Echo.Pipeline.pp_verdict v
-  | exception e ->
-      Alcotest.failf "Pipeline.run raised %s" (Printexc.to_string e)
+  expect_failed ~cls:"refactor" ~affix:"not applicable" (orchestrate case)
 
 let test_pipeline_late_fault_degrades () =
   (* a lemma *builder* that blows up (after the implementation proof has
      produced evidence) must degrade, keeping the proof report *)
   let case = swapper_case ~lemmas:(fun ~extracted:_ -> failwith "lemma builder crash") () in
-  let r = Echo.Pipeline.run case in
-  (match r.Echo.Pipeline.p_verdict with
-  | Echo.Pipeline.Degraded _ -> ()
-  | v -> Alcotest.failf "expected Degraded, got %a" Echo.Pipeline.pp_verdict v);
+  let r = orchestrate case in
+  (match r.Echo.Orchestrator.o_verdict with
+  | Echo.Orchestrator.Degraded _ -> ()
+  | v -> Alcotest.failf "expected Degraded, got %a" Echo.Orchestrator.pp_verdict v);
   Alcotest.(check bool) "implementation evidence survives" true
-    (r.Echo.Pipeline.p_impl.Echo.Implementation_proof.ip_total > 0)
+    (match r.Echo.Orchestrator.o_impl with
+    | Some impl -> impl.Echo.Implementation_proof.ip_total > 0
+    | None -> false)
 
 let suites =
   [ ( "echo:implementation_proof",

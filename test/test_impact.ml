@@ -8,7 +8,10 @@
      flags exactly the edited subprogram, with the right classification;
    - a soundness test: incremental re-verification (carry on) reaches
      per-VC verdicts identical to a full re-prove of the same edited
-     program (carry off), for a benign edit and for seeded defects. *)
+     program (carry off), for a benign edit and for seeded defects;
+   - the shared carry planner through both front ends: the orchestrator
+     (checkpointed baseline) and a service job (baseline summaries)
+     carry the same verdicts for the same edit. *)
 
 open Minispark
 module DG = Analysis.Depgraph
@@ -340,6 +343,112 @@ let test_incremental_matches_full () =
           ("operator-defect", operator_defect, false);
           ("statement-defect", statement_defect, false) ])
 
+(* The same benign edit through both front ends of the carry planner:
+   [Orchestrator.run] against a checkpointed baseline run, and
+   [Verify.run] against the baseline job's own per-VC summaries.  Both
+   must carry the same number of verdicts, agree VC for VC, and agree with
+   a full re-prove of the edited program. *)
+let test_front_ends_carry_alike () =
+  let base_dir = temp_run_dir "fe-base" in
+  let ref_dir = temp_run_dir "fe-ref" in
+  let incr_dir = temp_run_dir "fe-incr" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun d -> CK.clear ~dir:d) [ base_dir; ref_dir; incr_dir ])
+    (fun () ->
+      let cfg_base = { O.default_config with O.oc_run_dir = Some base_dir } in
+      ignore (O.run ~config:cfg_base (deps_case ()));
+      let cfg_ref =
+        { cfg_base with
+          O.oc_run_dir = Some ref_dir;
+          oc_baseline = Some base_dir;
+          oc_edit = Some benign_edit;
+          oc_carry = false }
+      in
+      let r_ref = O.run ~config:cfg_ref (deps_case ()) in
+      let r_incr =
+        O.run ~config:{ cfg_ref with O.oc_run_dir = Some incr_dir; oc_carry = true }
+          (deps_case ())
+      in
+      let base_src = Pretty.program_to_string (snd (Lazy.force checked)) in
+      let edited_src = Pretty.program_to_string (benign_edit (Parser.of_string base_src)) in
+      let job ?baseline source =
+        Echo.Verify.run
+          ~options:{ Echo.Verify.default_options with Echo.Verify.vo_baseline = baseline }
+          ~source ()
+      in
+      let base_job = job base_src in
+      let full_job = job edited_src in
+      let incr_job =
+        job
+          ~baseline:
+            { Echo.Verify.vb_program = base_src;
+              vb_results = base_job.Echo.Verify.vj_results }
+          edited_src
+      in
+      let job_keys (o : Echo.Verify.outcome) =
+        List.sort compare
+          (List.map
+             (fun (s : Echo.Verify.vc_summary) ->
+               (s.Echo.Verify.vs_sub, s.Echo.Verify.vs_name, s.Echo.Verify.vs_status))
+             o.Echo.Verify.vj_results)
+      in
+      let keys = Alcotest.(list (triple string string string)) in
+      let carried =
+        match r_incr.O.o_impl with
+        | Some ip -> ip.IP.ip_carried
+        | None -> Alcotest.fail "orchestrated run produced no proof"
+      in
+      Alcotest.(check bool) "some verdicts carried" true (carried > 0);
+      Alcotest.(check int) "same carried count" carried incr_job.Echo.Verify.vj_carried;
+      Alcotest.check keys "same per-VC verdicts" (verdict_keys r_incr) (job_keys incr_job);
+      Alcotest.check keys "orchestrator matches full re-prove" (verdict_keys r_ref)
+        (verdict_keys r_incr);
+      Alcotest.check keys "job matches full re-prove" (job_keys full_job) (job_keys incr_job))
+
+(* A service baseline whose summaries include a timeout and an unreadable
+   status: neither verdict is carried (both VCs are re-proved), the
+   unreadable one is reported in a note, and the job still agrees with a
+   full re-prove. *)
+let test_job_never_carries_timeouts () =
+  let base_src = Pretty.program_to_string (snd (Lazy.force checked)) in
+  let edited_src = Pretty.program_to_string (benign_edit (Parser.of_string base_src)) in
+  let job ?baseline source =
+    Echo.Verify.run
+      ~options:{ Echo.Verify.default_options with Echo.Verify.vo_baseline = baseline }
+      ~source ()
+  in
+  let results = (job base_src).Echo.Verify.vj_results in
+  let first_of sub =
+    List.find (fun (s : Echo.Verify.vc_summary) -> s.Echo.Verify.vs_sub = sub) results
+  in
+  let timed_out = first_of "double" and unreadable = first_of "reload" in
+  let marred_results =
+    List.map
+      (fun (s : Echo.Verify.vc_summary) ->
+        if s == timed_out then { s with Echo.Verify.vs_status = "timed-out" }
+        else if s == unreadable then { s with Echo.Verify.vs_status = "bogus" }
+        else s)
+      results
+  in
+  let incremental vb_results =
+    job ~baseline:{ Echo.Verify.vb_program = base_src; vb_results } edited_src
+  in
+  let clean = incremental results and marred = incremental marred_results in
+  Alcotest.(check int) "two fewer verdicts carried" (clean.Echo.Verify.vj_carried - 2)
+    marred.Echo.Verify.vj_carried;
+  Alcotest.(check bool) "unreadable status noted" true
+    (List.exists
+       (Astring.String.is_prefix ~affix:"impact: 1 baseline verdict(s) had unknown status")
+       marred.Echo.Verify.vj_notes);
+  let keys (o : Echo.Verify.outcome) =
+    List.sort compare
+      (List.map
+         (fun (s : Echo.Verify.vc_summary) -> (s.Echo.Verify.vs_name, s.Echo.Verify.vs_status))
+         o.Echo.Verify.vj_results)
+  in
+  Alcotest.(check (list (pair string string))) "matches full re-prove"
+    (keys (job edited_src)) (keys marred)
+
 let suites =
   [ ( "impact:depgraph",
       [ Alcotest.test_case "edges and edge kinds" `Quick test_depgraph_edges;
@@ -354,4 +463,8 @@ let suites =
       [ QCheck_alcotest.to_alcotest test_single_edit_precision ] );
     ( "impact:incremental",
       [ Alcotest.test_case "incremental matches full on seeded defects"
-          `Quick test_incremental_matches_full ] ) ]
+          `Quick test_incremental_matches_full;
+        Alcotest.test_case "orchestrator and service job carry alike" `Quick
+          test_front_ends_carry_alike;
+        Alcotest.test_case "timeouts and unreadable verdicts never carried"
+          `Quick test_job_never_carries_timeouts ] ) ]
